@@ -23,7 +23,7 @@ can be suppressed independently:
   ``FIRST_COMPLETED``).  Arrival order is worker scheduling, not
   program order — merging results that way leaks OS timing into
   best-config tie-breaks.  Keep the futures in a list and merge in
-  submission order (as ``core/mcts`` does for parallel rollouts).
+  submission order (as the lint runner's ``pool.map`` does).
 """
 
 from __future__ import annotations
@@ -292,8 +292,7 @@ def _check_unordered_merge(module: ModuleInfo) -> Iterator[Violation]:
                 message=(
                     f"{called} merges futures in arrival order — "
                     "worker scheduling leaks into results; keep "
-                    "futures in a list and merge in submission order "
-                    "(see core/mcts parallel rollouts)"
+                    "futures in a list and merge in submission order"
                 ),
             )
 

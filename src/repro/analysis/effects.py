@@ -3,8 +3,7 @@
 Per-function *local* summaries are extracted file by file (pure, so
 the runner caches them by content hash — see ``ANALYZER_VERSION``):
 attribute writes rooted at ``self``, writes rooted at other typed
-receivers, module-global writes, RNG draws, cache-invalidation calls,
-``parallel_safe`` reads, pool submissions, and every resolved or
+receivers, RNG draws, cache-invalidation calls, and every resolved or
 unresolved call.  The :class:`EffectIndex` then links summaries
 through :class:`~repro.analysis.graph.ProjectGraph` and answers the
 question the interprocedural checkers ask: *which functions does this
@@ -15,8 +14,7 @@ Two deliberate boundaries keep the traversal honest:
 * **Protocol boundary** — a call on a receiver typed as a protocol
   (or a class structurally implementing one) is classified against
   the protocol's method table, never traversed into an arbitrary
-  implementation.  The ``parallel_safe`` declaration of a backend
-  vouches for its internals.
+  implementation.
 * **Cache boundary** — a call through an attribute whose name marks
   it as a cache/memo (``self._cost_cache.put(...)``) is cache
   maintenance by declaration; it is neither traversed nor treated as
@@ -33,7 +31,7 @@ import ast
 import builtins
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.graph import (
     RANDOM_REF,
@@ -47,7 +45,7 @@ from repro.analysis.graph import (
 
 #: Bump when extraction output changes shape or semantics; cached
 #: summaries from other versions are discarded wholesale.
-ANALYZER_VERSION = 1
+ANALYZER_VERSION = 2
 
 #: Attribute-name fragments that mark an attribute as cache/memo
 #: state (mirrors the cache-key checker's convention).
@@ -208,12 +206,8 @@ class FunctionEffects:
     is_init: bool = False
     self_writes: List[AttrWrite] = field(default_factory=list)
     typed_writes: List[TypedWrite] = field(default_factory=list)
-    global_writes: List[Tuple[str, int]] = field(default_factory=list)
     rng_draws: List[int] = field(default_factory=list)
     invalidate_calls: List[Tuple[str, int]] = field(default_factory=list)
-    reads_parallel_safe: bool = False
-    constructs_pool: List[int] = field(default_factory=list)
-    pool_submits: List[Tuple[str, int]] = field(default_factory=list)
     calls: List[CallRef] = field(default_factory=list)
 
     def to_dict(self) -> Dict[str, object]:
@@ -227,12 +221,8 @@ class FunctionEffects:
             "is_init": self.is_init,
             "self_writes": [w.to_dict() for w in self.self_writes],
             "typed_writes": [w.to_dict() for w in self.typed_writes],
-            "global_writes": [list(g) for g in self.global_writes],
             "rng_draws": list(self.rng_draws),
             "invalidate_calls": [list(c) for c in self.invalidate_calls],
-            "reads_parallel_safe": self.reads_parallel_safe,
-            "constructs_pool": list(self.constructs_pool),
-            "pool_submits": [list(s) for s in self.pool_submits],
             "calls": [c.to_dict() for c in self.calls],
         }
 
@@ -254,24 +244,12 @@ class FunctionEffects:
                 TypedWrite.from_dict(w)
                 for w in data.get("typed_writes", [])  # type: ignore[union-attr]
             ],
-            global_writes=[
-                (str(g[0]), int(g[1]))
-                for g in data.get("global_writes", [])  # type: ignore[union-attr]
-            ],
             rng_draws=[
                 int(n) for n in data.get("rng_draws", [])  # type: ignore[union-attr]
             ],
             invalidate_calls=[
                 (str(c[0]), int(c[1]))
                 for c in data.get("invalidate_calls", [])  # type: ignore[union-attr]
-            ],
-            reads_parallel_safe=bool(data.get("reads_parallel_safe", False)),
-            constructs_pool=[
-                int(n) for n in data.get("constructs_pool", [])  # type: ignore[union-attr]
-            ],
-            pool_submits=[
-                (str(s[0]), int(s[1]))
-                for s in data.get("pool_submits", [])  # type: ignore[union-attr]
             ],
             calls=[
                 CallRef.from_dict(c)
@@ -355,7 +333,6 @@ class _FunctionExtractor(ast.NodeVisitor):
         self.local_types: Dict[str, str] = dict(param_types)
         self.param_names = param_names
         self.self_class = self_class
-        self.globals_declared: Set[str] = set()
         self._depth = 0
 
     # -- typing -------------------------------------------------------------
@@ -400,10 +377,6 @@ class _FunctionExtractor(ast.NodeVisitor):
         if isinstance(target, ast.Starred):
             self._record_write(target.value, kind, line)
             return
-        if isinstance(target, ast.Name):
-            if target.id in self.globals_declared:
-                self.effects.global_writes.append((target.id, line))
-            return
         root, attrs = _root_attr_chain(target)
         if root is None or not attrs:
             return
@@ -438,9 +411,6 @@ class _FunctionExtractor(ast.NodeVisitor):
         return ref
 
     # -- statements ---------------------------------------------------------
-
-    def visit_Global(self, node: ast.Global) -> None:
-        self.globals_declared.update(node.names)
 
     def visit_Assign(self, node: ast.Assign) -> None:
         for target in node.targets:
@@ -480,13 +450,6 @@ class _FunctionExtractor(ast.NodeVisitor):
 
     # -- calls and reads ----------------------------------------------------
 
-    def visit_Attribute(self, node: ast.Attribute) -> None:
-        if node.attr == "parallel_safe" and isinstance(
-            node.ctx, ast.Load
-        ):
-            self.effects.reads_parallel_safe = True
-        self.generic_visit(node)
-
     def visit_Call(self, node: ast.Call) -> None:
         self._handle_call(node)
         self.generic_visit(node)
@@ -505,25 +468,8 @@ class _FunctionExtractor(ast.NodeVisitor):
         method = callee.attr
         receiver = callee.value
 
-        if method in ("ProcessPoolExecutor", "Pool") and isinstance(
-            receiver, ast.Name
-        ):
-            self.effects.constructs_pool.append(line)
-
         if method in INVALIDATE_METHODS:
             self.effects.invalidate_calls.append((method, line))
-
-        if method == "submit" and node.args and isinstance(
-            node.args[0], ast.Name
-        ):
-            submitted = node.args[0].id
-            if submitted in self.symbols.functions:
-                self.effects.pool_submits.append(
-                    (
-                        self.symbols.functions[submitted].qualname,
-                        line,
-                    )
-                )
 
         # RNG draws: typed receiver or the repo's ``rng`` naming idiom.
         if method in RNG_METHODS and self._looks_like_rng(receiver):
@@ -587,30 +533,6 @@ class _FunctionExtractor(ast.NodeVisitor):
     def _handle_name_call(
         self, name: str, node: ast.Call, line: int
     ) -> None:
-        if name == "getattr" and len(node.args) >= 2:
-            probe = node.args[1]
-            if (
-                isinstance(probe, ast.Constant)
-                and probe.value == "parallel_safe"
-            ):
-                self.effects.reads_parallel_safe = True
-        if name in ("ProcessPoolExecutor", "Pool"):
-            self.effects.constructs_pool.append(line)
-            for keyword in node.keywords:
-                if keyword.arg == "initializer" and isinstance(
-                    keyword.value, ast.Name
-                ):
-                    init_name = keyword.value.id
-                    if init_name in self.symbols.functions:
-                        self.effects.pool_submits.append(
-                            (
-                                self.symbols.functions[
-                                    init_name
-                                ].qualname
-                                + "#initializer",
-                                line,
-                            )
-                        )
         if name in INVALIDATE_METHODS:
             self.effects.invalidate_calls.append((name, line))
         if name in self.symbols.functions:
@@ -720,10 +642,6 @@ def _extract_function(
         param_names=param_names,
         self_class=cls,
     )
-    # Pre-scan for ``global`` declarations (they may follow uses).
-    for sub in ast.walk(fn):
-        if isinstance(sub, ast.Global):
-            extractor.globals_declared.update(sub.names)
     for stmt in fn.body:
         extractor.visit(stmt)
     return effects
@@ -900,19 +818,3 @@ class EffectIndex:
                     seen.add(callee)
                     queue.append((callee, chain + (callee,)))
         return reached, protocol_calls
-
-    # -- convenience --------------------------------------------------------
-
-    def iter_functions(self) -> Iterator[FunctionEffects]:
-        for qualname in sorted(self.functions):
-            yield self.functions[qualname]
-
-    def pool_entry_points(self) -> List[Tuple[str, FunctionEffects]]:
-        """(submitted qualname, submitting function) pairs, sorted."""
-        entries: List[Tuple[str, FunctionEffects]] = []
-        for effects in self.iter_functions():
-            for target, _line in effects.pool_submits:
-                if target.endswith("#initializer"):
-                    continue
-                entries.append((target, effects))
-        return sorted(entries, key=lambda pair: pair[0])

@@ -125,37 +125,19 @@ def _summarise(result: object, indent: str = "  ") -> None:
     print(f"{indent}{result}")
 
 
-def run_perf(
-    target: str, iterations: int, rounds: int, out: str, workers: int,
-    queries: int = 4000,
-) -> int:
-    """Dispatch a performance benchmark (``--perf mcts|ingest``)."""
-    if target == "mcts":
-        from repro.bench.perf import render_mcts_perf, run_mcts_perf
+def run_perf(out: str, queries: int = 4000) -> int:
+    """Run the ingest performance benchmark (``--perf ingest``)."""
+    from repro.bench.perf import render_ingest_perf, run_ingest_perf
 
-        print("=== perf: MCTS costing modes (full/delta/parallel) ===")
-        report = run_mcts_perf(
-            iterations=iterations, rounds=rounds, out_path=out,
-            workers=workers,
-        )
-        for line in render_mcts_perf(report):
-            print("  " + line)
-        print(f"  written to {out}")
-        return 0
-    if target == "ingest":
-        from repro.bench.perf import render_ingest_perf, run_ingest_perf
-
-        print(
-            "=== perf: ingest modes "
-            "(full-parse/cached/cached+incremental) ==="
-        )
-        report = run_ingest_perf(queries=queries, out_path=out)
-        for line in render_ingest_perf(report):
-            print("  " + line)
-        print(f"  written to {out}")
-        return 0 if report["identical_result"] else 1
-    print(f"unknown perf target {target!r}")  # argparse guards this
-    return 2
+    print(
+        "=== perf: ingest modes "
+        "(full-parse/cached/cached+incremental) ==="
+    )
+    report = run_ingest_perf(queries=queries, out_path=out)
+    for line in render_ingest_perf(report):
+        print("  " + line)
+    print(f"  written to {out}")
+    return 0 if report["identical_result"] else 1
 
 
 def run_backend(backend: str, seed: int) -> int:
@@ -223,13 +205,8 @@ def main(argv: List[str] | None = None) -> int:
     )
     parser.add_argument(
         "--perf",
-        choices=["mcts", "ingest"],
+        choices=["ingest"],
         help="run a performance benchmark instead of an experiment",
-    )
-    parser.add_argument(
-        "--workers", type=int, default=4,
-        help="rollout-costing processes for --perf mcts (capped at "
-             "the visible core count; default 4)",
     )
     parser.add_argument(
         "--backend",
@@ -266,16 +243,12 @@ def main(argv: List[str] | None = None) -> int:
         help="fault type injected by --faults (default transient)",
     )
     parser.add_argument(
-        "--iterations", type=int, default=200,
-        help="total MCTS iterations for --perf (default 200)",
-    )
-    parser.add_argument(
         "--queries", type=int, default=4000,
         help="queries per mode for --perf ingest (default 4000)",
     )
     parser.add_argument(
         "--rounds", type=int, default=6,
-        help="tuning rounds to split iterations over (default 6)",
+        help="tuning rounds for --faults (default 6)",
     )
     parser.add_argument(
         "--out", default=None,
@@ -316,19 +289,10 @@ def main(argv: List[str] | None = None) -> int:
             backend=args.backend,
         )
     if args.perf:
-        if args.iterations < 1:
-            parser.error("--iterations must be >= 1")
-        if args.rounds < 1:
-            parser.error("--rounds must be >= 1")
-        if args.workers < 1:
-            parser.error("--workers must be >= 1")
         if args.queries < 1:
             parser.error("--queries must be >= 1")
         out = args.out or f"BENCH_{args.perf}.json"
-        return run_perf(
-            args.perf, args.iterations, args.rounds, out, args.workers,
-            queries=args.queries,
-        )
+        return run_perf(out, queries=args.queries)
     if args.backend:
         return run_backend(args.backend, args.seed)
     if args.command is None:

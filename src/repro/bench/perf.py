@@ -1,31 +1,4 @@
-"""Performance benchmarks: MCTS costing modes and template ingest.
-
-``python -m repro.bench --perf mcts`` times N MCTS iterations split
-over several tuning rounds on TPC-C in three modes:
-
-* **full** — the incremental machinery disabled: every evaluation
-  re-costs the whole workload, no feature tier, no plan memoisation,
-  per-statement what-if overlays (the pre-delta behaviour);
-* **delta** — incremental re-costing with the per-statement scalar
-  estimator path pinned (``vectorized=False``): the delta baseline as
-  it shipped, before batch costing and worker pools existed;
-* **parallel** — everything on: delta costing, vectorized batch
-  costing (one overlay window + one ``model.predict`` per evaluation
-  batch), and ``--workers`` rollout costing processes when the
-  machine has more than one core.
-
-The estimator caches are cleared between rounds in every mode,
-emulating the model retrain that normally happens there. Because
-delta costs are bitwise-identical to full recomputation — and the
-parallel merge happens in submission order on a parent-side RNG — all
-three modes follow the same search trajectory under the same seed.
-``identical_result`` asserts exactly that; the comparison measures
-pure bookkeeping overhead, never different searches.
-
-The ``machine`` block keeps the numbers honest: ``workers_effective``
-is capped at the visible core count (a rollout-costing pool on a
-single-core container is pure fork overhead), so ``speedup_parallel``
-only reflects process parallelism on hardware that has it.
+"""Performance benchmark: template ingest.
 
 ``python -m repro.bench --perf ingest`` streams the same TPC-C query
 batch through the observe-side hot path (SQL2Template matching plus a
@@ -44,7 +17,7 @@ periodic index-diagnosis pass) in three modes:
 template set, per-template statistics, shard layout, and diagnosis
 reports — the fast path must be invisible except in wall time.
 
-Writes ``BENCH_mcts.json`` / ``BENCH_ingest.json``.
+Writes ``BENCH_ingest.json``.
 """
 
 from __future__ import annotations
@@ -52,207 +25,14 @@ from __future__ import annotations
 import json
 import os
 import platform
-import random
 import time
 from typing import Dict, List
 
 from repro.bench.harness import prepare_database
 from repro.core.candidates import CandidateGenerator
 from repro.core.diagnosis import IndexDiagnosis
-from repro.core.estimator import BenefitEstimator
-from repro.core.mcts import MctsIndexSelector
 from repro.core.templates import TemplateStore
 from repro.workloads.tpcc import TpccWorkload
-
-
-def _build_workload(observe_queries: int):
-    """Fresh TPC-C database + observed templates + candidates."""
-    generator = TpccWorkload(scale=1, seed=11)
-    db = prepare_database(generator)
-    store = TemplateStore()
-    for query in generator.queries(observe_queries, seed=3):
-        store.observe(query.sql, db.parse_statement(query.sql))
-    templates = store.templates(top=120)
-    candidates = CandidateGenerator(db).generate(templates)
-    return db, templates, [c.definition for c in candidates]
-
-
-def _run_mode(
-    mode: str,
-    iterations: int,
-    rounds: int,
-    seed: int,
-    observe_queries: int,
-    workers: int = 1,
-) -> Dict:
-    db, templates, candidates = _build_workload(observe_queries)
-    if mode == "full":
-        # Pre-delta behaviour: no feature tier, no plan memoisation,
-        # per-statement overlays, every config costed from scratch.
-        db.planner.plan_cache_enabled = False
-        estimator = BenefitEstimator(
-            db, feature_cache_size=0, vectorized=False
-        )
-        delta, mode_workers = False, 1
-    elif mode == "delta":
-        # The delta baseline as shipped: incremental re-costing with
-        # the scalar per-statement estimator path pinned.
-        estimator = BenefitEstimator(db, vectorized=False)
-        delta, mode_workers = True, 1
-    elif mode == "parallel":
-        estimator = BenefitEstimator(db)
-        delta, mode_workers = True, workers
-    else:  # pragma: no cover - internal misuse
-        raise ValueError(f"unknown bench mode {mode!r}")
-    selector = MctsIndexSelector(
-        estimator,
-        iterations=max(iterations // rounds, 1),
-        rollouts=2,
-        patience=10**9,  # never stop early: fixed work per round
-        rng=random.Random(seed),
-        delta_costing=delta,
-        workers=mode_workers,
-    )
-    existing = db.index_defs()
-    protected = [d for d in existing if d.unique]
-
-    results = []
-    start = time.perf_counter()
-    for _ in range(rounds):
-        result = selector.search(
-            existing=existing,
-            candidates=candidates,
-            templates=templates,
-            protected=protected,
-        )
-        results.append(result)
-        # Between rounds the model is normally retrained; the cost
-        # tier dies with the old model either way.
-        estimator.clear_cache()
-    wall_seconds = time.perf_counter() - start
-
-    stats = estimator.cache_stats()
-    return {
-        "mode": mode,
-        "wall_seconds": wall_seconds,
-        "workers_used": max(r.workers_used for r in results),
-        "plans_computed": estimator.plans_computed,
-        "model_predictions": estimator.estimate_calls,
-        "evaluations": sum(r.evaluations for r in results),
-        "best_benefit": results[-1].best_benefit,
-        "best_config": [str(d) for d in results[-1].best_config],
-        "cost_cache": stats["cost"].as_dict(),
-        "feature_cache": stats["features"].as_dict(),
-        "planner_access_paths": db.planner.access_paths_computed,
-        "plan_cache": db.planner.plan_cache_stats().as_dict(),
-    }
-
-
-def run_mcts_perf(
-    iterations: int = 200,
-    rounds: int = 6,
-    out_path: str = "BENCH_mcts.json",
-    seed: int = 17,
-    observe_queries: int = 400,
-    workers: int = 4,
-) -> Dict:
-    """Time the three costing modes and write the comparison JSON."""
-    cpu_count = os.cpu_count() or 1
-    # A rollout-costing pool wider than the machine is pure fork
-    # overhead; the bench never oversubscribes (the selector itself
-    # honours whatever the caller asks for).
-    workers_effective = max(min(workers, cpu_count), 1)
-    full = _run_mode("full", iterations, rounds, seed, observe_queries)
-    delta = _run_mode("delta", iterations, rounds, seed, observe_queries)
-    parallel = _run_mode(
-        "parallel", iterations, rounds, seed, observe_queries,
-        workers=workers_effective,
-    )
-
-    identical = (
-        full["best_benefit"]
-        == delta["best_benefit"]
-        == parallel["best_benefit"]
-        and full["best_config"]
-        == delta["best_config"]
-        == parallel["best_config"]
-    )
-    report = {
-        "benchmark": "mcts-costing-modes",
-        "workload": "tpcc scale=1",
-        "iterations": iterations,
-        "rounds": rounds,
-        "seed": seed,
-        "machine": {
-            "cpu_count": cpu_count,
-            "workers_requested": workers,
-            "workers_effective": workers_effective,
-        },
-        "full": full,
-        "delta": delta,
-        "parallel": parallel,
-        "speedup_wall": _ratio(
-            full["wall_seconds"], delta["wall_seconds"]
-        ),
-        "speedup_parallel": _ratio(
-            delta["wall_seconds"], parallel["wall_seconds"]
-        ),
-        "speedup_parallel_vs_full": _ratio(
-            full["wall_seconds"], parallel["wall_seconds"]
-        ),
-        "plan_reduction": _ratio(
-            full["plans_computed"], delta["plans_computed"]
-        ),
-        "prediction_reduction": _ratio(
-            full["model_predictions"], delta["model_predictions"]
-        ),
-        "identical_result": identical,
-    }
-    with open(out_path, "w") as handle:
-        json.dump(report, handle, indent=2)
-        handle.write("\n")
-    return report
-
-
-def _ratio(full: float, delta: float) -> float:
-    return float(full) / max(float(delta), 1e-12)
-
-
-def render_mcts_perf(report: Dict) -> List[str]:
-    """Human-readable lines for the CLI."""
-    machine = report["machine"]
-    lines = [
-        f"workload: {report['workload']}  "
-        f"iterations: {report['iterations']} over "
-        f"{report['rounds']} rounds",
-        f"machine: {machine['cpu_count']} cores; workers "
-        f"{machine['workers_requested']} requested, "
-        f"{machine['workers_effective']} effective",
-    ]
-    for mode in ("full", "delta", "parallel"):
-        m = report[mode]
-        lines.append(
-            f"{mode:8s} {m['wall_seconds']:8.2f}s  "
-            f"plans={m['plans_computed']:<6d} "
-            f"predictions={m['model_predictions']:<6d} "
-            f"cost-cache hit rate="
-            f"{m['cost_cache']['hit_rate']:.2f}"
-        )
-    lines.append(
-        f"speedup: full/delta {report['speedup_wall']:.2f}x, "
-        f"delta/parallel {report['speedup_parallel']:.2f}x, "
-        f"full/parallel {report['speedup_parallel_vs_full']:.2f}x"
-    )
-    lines.append(
-        "identical result: " + ("yes" if report["identical_result"]
-                                else "NO (investigate)")
-    )
-    return lines
-
-
-# ---------------------------------------------------------------------------
-# ingest: SQL2Template + diagnosis throughput
-# ---------------------------------------------------------------------------
 
 
 def _serialize_report(problems) -> Dict:
@@ -406,6 +186,10 @@ def run_ingest_perf(
         json.dump(report, handle, indent=2)
         handle.write("\n")
     return report
+
+
+def _ratio(full: float, delta: float) -> float:
+    return float(full) / max(float(delta), 1e-12)
 
 
 def render_ingest_perf(report: Dict) -> List[str]:

@@ -86,12 +86,9 @@ class AutoIndexAdvisor:
         use_templates: bool = True,
         train_sample_rate: float = 0.05,
         seed: int = 17,
-        delta_costing: bool = True,
         mcts_deadline_seconds: Optional[float] = None,
         mcts_max_evaluations: Optional[int] = None,
-        mcts_workers: int = 1,
         pipeline: Optional[TuningPipeline] = None,
-        incremental_diagnosis: bool = True,
         apply_mode: str = "auto",
         regret_bound: Optional[float] = None,
         regret_headroom: float = 1.0,
@@ -125,15 +122,10 @@ class AutoIndexAdvisor:
             rollouts=rollouts,
             seed=seed,
             rng=self.rng,
-            delta_costing=delta_costing,
             deadline_seconds=mcts_deadline_seconds,
             max_evaluations=mcts_max_evaluations,
-            workers=mcts_workers,
         )
-        self.diagnosis = IndexDiagnosis(
-            db, self.store, self.generator,
-            incremental=incremental_diagnosis,
-        )
+        self.diagnosis = IndexDiagnosis(db, self.store, self.generator)
         self.pipeline = (
             pipeline if pipeline is not None else TuningPipeline()
         )

@@ -277,7 +277,6 @@ class BenefitEstimator:
         feature_cache_size: Optional[int] = None,
         max_predict_retries: int = 3,
         clock: Optional[VirtualClock] = None,
-        vectorized: bool = True,
     ):
         # ``feature_cache_size=None`` follows ``cache_size`` so one
         # argument sizes both tiers; benchmarks that deliberately
@@ -285,12 +284,6 @@ class BenefitEstimator:
         if feature_cache_size is None:
             feature_cache_size = cache_size
         self.backend = backend
-        #: ``vectorized=False`` pins the per-template scalar costing
-        #: path (one what-if overlay per statement, elementwise
-        #: aggregation) — kept for the perf bench baseline and the
-        #: batch-equals-scalar property tests. Results are bitwise
-        #: identical either way.
-        self.vectorized = vectorized
         self.model = model if model is not None else WhatIfCostModel()
         self.history: List[HistorySample] = []
         self._cache = LruCache(cache_size)
@@ -360,9 +353,8 @@ class BenefitEstimator:
                 f"what-if fallback unusable ({reason})"
             )
         self.fallbacks += 1
-        # lint: ignore[fork-safety] -- degradation inside a pool worker is caught by _pool_cost_job's fallbacks guard: the job fails and the parent recomputes in-process, where this write is visible
         self.degraded_reason = reason
-        self.model = WhatIfCostModel()  # lint: ignore[fork-safety] -- same guard as degraded_reason above: a worker-side model swap fails the job instead of silently diverging from the parent
+        self.model = WhatIfCostModel()
         # The cost tier is model-dependent; predictions cached from
         # the demoted model must not mix with fallback predictions.
         self._cache.clear()
@@ -378,7 +370,7 @@ class BenefitEstimator:
         if version != self._catalog_version:
             self._cache.clear()
             self._feature_cache.clear()
-            self._catalog_version = version  # lint: ignore[fork-safety] -- version-guard bookkeeping: workers never perform DDL (this rule proves it), so the forked backend's version cannot move and this write is dead in workers
+            self._catalog_version = version
 
     def query_cost(
         self,
@@ -498,8 +490,8 @@ class BenefitEstimator:
         ``model.predict`` call. Hits stay scalar writes on purpose —
         delta batches are a dozen positions, below the break-even
         point of array gather/scatter. Every step performs the same
-        IEEE operations as the per-template path, so results are
-        bitwise identical to it.
+        IEEE operations as :meth:`query_cost`, so results are bitwise
+        identical to it.
         """
         # One pass over the config up front; per template only its
         # (few) relevant definitions are touched, not the whole
@@ -512,9 +504,7 @@ class BenefitEstimator:
             by_table.setdefault(d.table, []).append(d)
         table_sigs: Dict[str, Tuple] = {}
         cache_get = self._cache.get
-        missing: List[
-            Tuple[int, Tuple, float, QueryTemplate, Optional[CostFeatures]]
-        ] = []
+        missing: List[Tuple[int, Tuple, float, QueryTemplate]] = []
         for i in positions:
             template = templates[i]
             # Inlined max(template.weight, 0.1) — property and call
@@ -549,21 +539,7 @@ class BenefitEstimator:
             if cached is not None:
                 out[i] = weight * cached
                 continue
-            if self.vectorized:
-                missing.append((i, key, weight, template, None))
-            else:
-                # Scalar pin: plan each statement through its own
-                # what-if overlay window (the pre-batch path) and
-                # carry the features along — they must not depend on
-                # the feature tier being enabled.
-                relevant = [
-                    d
-                    for table in tables
-                    for d in by_table.get(table, ())
-                ]
-                relevant.sort(key=lambda d: d.key)
-                feats = self._features_for(template, key, relevant)
-                missing.append((i, key, weight, template, feats))
+            missing.append((i, key, weight, template))
         if not missing:
             return
         features = self._batch_features(missing, config)
@@ -571,23 +547,20 @@ class BenefitEstimator:
         # lint: ignore[cache-key] -- model swaps flush the cost tier (train/clear_cache)
         predicted = self._predict(matrix)
         self.estimate_calls += len(missing)
-        for (i, key, weight, _template, _f), raw in zip(missing, predicted):
+        for (i, key, weight, _template), raw in zip(missing, predicted):
             cost = float(raw)
             self._cache.put(key, cost)
             out[i] = weight * cost
 
     def _batch_features(
         self,
-        missing: Sequence[
-            Tuple[int, Tuple, float, QueryTemplate, Optional[CostFeatures]]
-        ],
+        missing: Sequence[Tuple[int, Tuple, float, QueryTemplate]],
         config: Sequence[IndexDef],
     ) -> List[CostFeatures]:
         """Feature vectors for the cost-tier misses of one evaluation.
 
-        An entry carrying pre-planned features (the scalar pin) is
-        used as-is. The rest are looked up in the feature tier;
-        feature-tier misses are planned together through
+        Each entry is looked up in the feature tier; feature-tier
+        misses are planned together through
         :func:`compute_features_batch` under the *full* configuration:
         a statement's plan and maintenance charge only depend on the
         indexes of its referenced tables, so planning under the full
@@ -599,21 +572,15 @@ class BenefitEstimator:
         """
         features: List[Optional[CostFeatures]] = []
         unplanned: List[int] = []
-        for pos, (_i, key, _weight, template, carried) in enumerate(
-            missing
-        ):
-            cached = (
-                carried
-                if carried is not None
-                else self._feature_cache.get(key)
-            )
+        for pos, (_i, key, _weight, _template) in enumerate(missing):
+            cached = self._feature_cache.get(key)
             features.append(cached)
             if cached is None:
                 unplanned.append(pos)
         if unplanned:
             if self.faults is not None:
                 for pos in unplanned:
-                    _i, key, _weight, template, _f = missing[pos]
+                    _i, key, _weight, template = missing[pos]
                     features[pos] = self._features_for(
                         template, key, self._relevant_of(template, config)
                     )
@@ -800,11 +767,6 @@ class BenefitEstimator:
         )
         key = (template.fingerprint, tuple(d.key for d in relevant))
         return key, relevant
-
-    def _cache_key(
-        self, template: QueryTemplate, config: Sequence[IndexDef]
-    ) -> Tuple:
-        return self._relevant_config(template, config)[0]
 
     def clear_cache(self, include_features: bool = False) -> None:
         """Drop predicted costs; optionally the planned features too.

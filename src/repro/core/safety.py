@@ -282,9 +282,6 @@ class BenefitLedger:
             return None
         return total / samples
 
-    def arm_stats(self) -> List[ArmStats]:
-        return list(self._arms.values())
-
     def summary(self) -> Dict[str, object]:
         """Counters for reports and bench output."""
         return {

@@ -158,16 +158,6 @@ class Catalog:
         )
         return defs
 
-    def table_index_signature(self, table: str) -> Tuple:
-        """Hashable fingerprint of the index set visible on ``table``.
-
-        Includes each visible index's identity key plus whether it is
-        materialised (a real B+Tree's measured shape differs from a
-        hypothetical estimate, so the two must not share cached
-        plans). Used as a plan/cost cache key component.
-        """
-        return self.index_signature_of(self.visible_index_defs(table))
-
     def index_signature_of(self, defs: Sequence[IndexDef]) -> Tuple:
         """Signature of an explicit definition subset.
 

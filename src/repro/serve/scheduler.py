@@ -133,12 +133,6 @@ class RoundScheduler:
     # introspection
     # ------------------------------------------------------------------
 
-    def has_work(self) -> bool:
-        with self._lock:
-            return bool(self._ready) and (
-                len(self._running) < self.max_concurrent
-            )
-
     def idle(self) -> bool:
         """True when nothing is queued or running."""
         with self._lock:

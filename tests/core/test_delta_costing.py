@@ -14,6 +14,7 @@ from repro.engine.index import IndexDef
 from repro.engine.metrics import LruCache
 from repro.workloads.banking import BankingWorkload
 from repro.workloads.tpcc import TpccWorkload
+from tests.core.reference import FullCostingSelector
 
 
 def _observed(db, generator, count, seed=3):
@@ -240,10 +241,10 @@ class TestFeatureTierSurvivesRetrain:
 
 
 class TestMctsDeltaWiring:
-    def _search(self, tpcc, **kwargs):
+    def _search(self, tpcc, selector_cls=MctsIndexSelector, **kwargs):
         db, templates, candidates = tpcc
         estimator = BenefitEstimator(db)
-        selector = MctsIndexSelector(
+        selector = selector_cls(
             estimator, iterations=40, rollouts=2, **kwargs
         )
         existing = db.index_defs()
@@ -255,8 +256,10 @@ class TestMctsDeltaWiring:
         )
 
     def test_delta_and_full_find_identical_result(self, tpcc):
-        on = self._search(tpcc, seed=23, delta_costing=True)
-        off = self._search(tpcc, seed=23, delta_costing=False)
+        on = self._search(tpcc, seed=23)
+        off = self._search(
+            tpcc, selector_cls=FullCostingSelector, seed=23
+        )
         assert on.best_benefit == off.best_benefit
         assert [d.key for d in on.best_config] == [
             d.key for d in off.best_config

@@ -1,17 +1,18 @@
-"""Scale-out search guarantees: worker determinism and batch parity.
+"""Batch costing parity: vectorized costing equals scalar costing.
 
-The parallel rollout machinery promises that ``workers=N`` reproduces
-``workers=1`` byte for byte (rollout generation stays on the
-parent-side RNG; workers only cost materialised configs; results
-merge in submission order), and the vectorized batch costing promises
-exact float equality with the per-template scalar path. These tests
-pin both contracts on real workloads.
+The estimator costs cache misses in one batch (one what-if overlay
+window, one ``model.predict`` call) and promises exact float equality
+with costing each template on its own through
+:meth:`BenefitEstimator.query_cost`. These tests pin that contract on
+real workloads for full and delta costing, and check that a whole
+delta-costing search matches the full-costing reference search.
 """
 
 from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.bench.harness import prepare_database
@@ -19,9 +20,9 @@ from repro.core.candidates import CandidateGenerator
 from repro.core.estimator import BenefitEstimator
 from repro.core.mcts import MctsIndexSelector
 from repro.core.templates import TemplateStore
-from repro.engine.faults import FaultInjector, FaultPlan
 from repro.workloads.banking import BankingWorkload
 from repro.workloads.tpcc import TpccWorkload
+from tests.core.reference import FullCostingSelector
 
 
 def _observed(generator, observe: int, top: int):
@@ -50,15 +51,13 @@ def tpcc_setup():
     return _observed(TpccWorkload(scale=1, seed=11), observe=200, top=80)
 
 
-def _search(db, templates, candidates, workers, seed, vectorized=True):
-    estimator = BenefitEstimator(db, vectorized=vectorized)
-    selector = MctsIndexSelector(
-        estimator,
+def _search(db, templates, candidates, selector_cls, seed):
+    selector = selector_cls(
+        BenefitEstimator(db),
         iterations=24,
         rollouts=2,
         patience=10**9,
         rng=random.Random(seed),
-        workers=workers,
     )
     existing = db.index_defs()
     return selector.search(
@@ -69,86 +68,16 @@ def _search(db, templates, candidates, workers, seed, vectorized=True):
     )
 
 
-class TestWorkerDeterminism:
-    """``workers`` must never change what the search finds."""
-
-    @pytest.mark.parametrize("workload", ["banking", "tpcc"])
-    @pytest.mark.parametrize("seed", [17, 29])
-    def test_workers_bit_identical(
-        self, workload, seed, banking_setup, tpcc_setup
-    ):
-        db, templates, candidates = (
-            banking_setup if workload == "banking" else tpcc_setup
-        )
-        base = _search(db, templates, candidates, workers=1, seed=seed)
-        for workers in (2, 4):
-            result = _search(
-                db, templates, candidates, workers=workers, seed=seed
-            )
-            # Bitwise float equality and identical config sets — not
-            # approximate closeness.
-            assert result.best_benefit == base.best_benefit
-            assert frozenset(result.best_config) == frozenset(
-                base.best_config
-            )
-            assert result.evaluations == base.evaluations
-
-    def test_pool_actually_used(self, tpcc_setup):
-        """The determinism test must exercise the pool, not skip it."""
-        db, templates, candidates = tpcc_setup
-        result = _search(db, templates, candidates, workers=2, seed=17)
-        assert result.workers_used == 2
-
-    def test_serial_reports_one_worker(self, tpcc_setup):
-        db, templates, candidates = tpcc_setup
-        result = _search(db, templates, candidates, workers=1, seed=17)
-        assert result.workers_used == 1
-
-
-class TestParallelGating:
-    """The pool must stand down whenever correctness is at stake."""
-
-    def test_faults_force_serial(self, banking_setup):
-        db, templates, candidates = banking_setup
-        estimator = BenefitEstimator(db)
-        estimator.faults = FaultInjector(FaultPlan())
-        selector = MctsIndexSelector(
-            estimator, iterations=5, rollouts=2, seed=17, workers=4
-        )
-        assert not selector.parallel_available()
-
-    def test_unsafe_backend_forces_serial(self, banking_setup):
-        db, templates, candidates = banking_setup
-        estimator = BenefitEstimator(db)
-        selector = MctsIndexSelector(
-            estimator, iterations=5, rollouts=2, seed=17, workers=4
-        )
-        assert selector.parallel_available()
-        # An adapter that cannot survive a fork (instance attribute
-        # shadows the class default, as SqliteBackend sets).
-        db.parallel_safe = False
-        try:
-            assert not selector.parallel_available()
-        finally:
-            del db.parallel_safe
-
-    def test_sqlite_backend_is_marked_unsafe(self):
-        from repro.ports.sqlite import SqliteBackend
-
-        assert SqliteBackend.parallel_safe is False
-
-    def test_gated_search_still_deterministic(self, banking_setup):
-        """Even forced serial, workers>1 changes nothing."""
-        db, templates, candidates = banking_setup
-        base = _search(db, templates, candidates, workers=1, seed=29)
-        db.parallel_safe = False
-        try:
-            gated = _search(db, templates, candidates, workers=4, seed=29)
-        finally:
-            del db.parallel_safe
-        assert gated.workers_used == 1
-        assert gated.best_benefit == base.best_benefit
-        assert frozenset(gated.best_config) == frozenset(base.best_config)
+def _scalar_costs(db, templates, config):
+    """Per-template weighted costs, one ``query_cost`` call each, on a
+    fresh estimator so no batch-planned entry can leak in."""
+    scalar = BenefitEstimator(db)
+    return np.array(
+        [
+            max(t.weight, 0.1) * scalar.query_cost(t, config)
+            for t in templates
+        ]
+    )
 
 
 class TestBatchScalarParity:
@@ -162,20 +91,18 @@ class TestBatchScalarParity:
             banking_setup if workload == "banking" else tpcc_setup
         )
         batched = BenefitEstimator(db)
-        scalar = BenefitEstimator(db, vectorized=False)
         rng = random.Random(5)
         for _ in range(12):
             config = rng.sample(
                 candidates, k=rng.randrange(0, min(len(candidates), 8))
             )
             got = batched.workload_costs(templates, config)
-            want = scalar.workload_costs(templates, config)
+            want = _scalar_costs(db, templates, config)
             assert got.tolist() == want.tolist()
 
     def test_delta_matches_scalar_recompute(self, tpcc_setup):
         db, templates, candidates = tpcc_setup
         batched = BenefitEstimator(db)
-        scalar = BenefitEstimator(db, vectorized=False)
         rng = random.Random(9)
         parent = rng.sample(candidates, k=min(len(candidates), 5))
         parent_costs = batched.workload_costs(templates, parent)
@@ -188,101 +115,18 @@ class TestBatchScalarParity:
             total, costs = batched.workload_cost_delta(
                 parent_costs, templates, parent, child
             )
-            want = scalar.workload_costs(templates, child)
+            want = _scalar_costs(db, templates, child)
             assert costs.tolist() == want.tolist()
             assert total == float(want.sum())
 
     def test_search_identical_across_estimator_modes(self, tpcc_setup):
         db, templates, candidates = tpcc_setup
-        batched = _search(
-            db, templates, candidates, workers=1, seed=17, vectorized=True
+        delta = _search(
+            db, templates, candidates, MctsIndexSelector, seed=17
         )
-        scalar = _search(
-            db, templates, candidates, workers=1, seed=17, vectorized=False
+        full = _search(
+            db, templates, candidates, FullCostingSelector, seed=17
         )
-        assert batched.best_benefit == scalar.best_benefit
-        assert frozenset(batched.best_config) == frozenset(
-            scalar.best_config
-        )
-        assert batched.evaluations == scalar.evaluations
-
-
-class TestWorkerDegradeGuard:
-    """A mid-job estimator demotion must fail the pool job.
-
-    The demotion (model swap, fallback counter, cache flush) happens
-    in the forked worker and is invisible to the parent; the guard in
-    ``_pool_cost_job`` turns it into a job failure so the parent
-    abandons the pool and recomputes in-process, where the
-    degradation applies to the estimator everyone sees.
-    """
-
-    def test_pool_job_raises_when_estimator_degrades(self, banking_setup):
-        from repro.core import mcts as mcts_mod
-
-        db, templates, candidates = banking_setup
-        estimator = BenefitEstimator(db)
-        selector = MctsIndexSelector(
-            estimator,
-            iterations=4,
-            rollouts=1,
-            patience=10**9,
-            rng=random.Random(5),
-            workers=1,
-        )
-        existing = db.index_defs()
-        selector.search(
-            existing=existing,
-            candidates=candidates,
-            templates=templates,
-            protected=[d for d in existing if d.unique],
-        )
-
-        class ExplodingModel:
-            def predict(self, matrix):
-                raise ValueError("exploding model")
-
-        estimator.model = ExplodingModel()
-        estimator.clear_cache()
-        mcts_mod._pool_initializer(selector)
-        try:
-            config = frozenset(d.key for d in candidates[:1])
-            with pytest.raises(RuntimeError, match="degraded"):
-                mcts_mod._pool_cost_job(tuple(config))
-            assert estimator.fallbacks == 1
-        finally:
-            mcts_mod._WORKER_SELECTOR = None
-
-    def test_pool_job_passes_results_through_when_healthy(
-        self, banking_setup
-    ):
-        from repro.core import mcts as mcts_mod
-
-        db, templates, candidates = banking_setup
-        estimator = BenefitEstimator(db)
-        selector = MctsIndexSelector(
-            estimator,
-            iterations=4,
-            rollouts=1,
-            patience=10**9,
-            rng=random.Random(5),
-            workers=1,
-        )
-        existing = db.index_defs()
-        selector.search(
-            existing=existing,
-            candidates=candidates,
-            templates=templates,
-            protected=[d for d in existing if d.unique],
-        )
-        mcts_mod._pool_initializer(selector)
-        try:
-            config = frozenset(d.key for d in candidates[:1])
-            job_cost, job_costs = mcts_mod._pool_cost_job(tuple(config))
-            direct_cost, direct_costs = selector._cost_of(
-                config, selector._root_ref
-            )
-            assert job_cost == direct_cost
-            assert job_costs.tolist() == direct_costs.tolist()
-        finally:
-            mcts_mod._WORKER_SELECTOR = None
+        assert delta.best_benefit == full.best_benefit
+        assert frozenset(delta.best_config) == frozenset(full.best_config)
+        assert delta.evaluations == full.evaluations
